@@ -7,8 +7,9 @@
 /// runtime thread pool, vectorize/unroll properties become pragmas, atomic
 /// reductions become CAS loops, and GemmCall becomes a library call.
 ///
-/// The kernel ABI is `extern "C" void <name>(void **params)` with one
-/// pointer per Func parameter, in order.
+/// The kernel ABI is `extern "C" void <name>(void **params, const ft_rt *rt)`
+/// with one pointer per Func parameter, in order, and the runtime handle of
+/// codegen/rt/ft_runtime.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #define FT_CODEGEN_CODEGEN_H
 
 #include <string>
+#include <vector>
 
 #include "ir/func.h"
 
@@ -26,9 +28,8 @@ struct CodegenOptions {
   /// Instrument the emitted kernel with the statement-level profiler:
   /// every For (and GemmCall) gets per-thread call/iteration/time counters
   /// keyed by its StmtNode::Id (hot leaf loops are timed on a 1-in-64 call
-  /// sample), kernel-allocated tensors are wrapped in live-byte tracking,
-  /// and a versioned `<symbol>_rt_profile` export is emitted next to
-  /// `<symbol>_rt_stats` so the host JIT can pull the table back. Off by
+  /// sample) in the profile lanes the runtime handle provides, and
+  /// kernel-allocated tensors are wrapped in live-byte tracking. Off by
   /// default; the profile-off emission is byte-identical to a build
   /// without this option.
   bool Profile = false;
@@ -37,6 +38,10 @@ struct CodegenOptions {
 /// Emits a complete C++ source file implementing \p F.
 std::string generateCpp(const Func &F, const CodegenOptions &Opts);
 std::string generateCpp(const Func &F);
+
+/// Statement id of each profile slot of \p F's instrumented kernel: slot 0
+/// is the kernel body (-1), then every For and GemmCall in pre-order.
+std::vector<int64_t> profileSlotIds(const Func &F);
 
 /// The exported symbol name of the kernel generated for \p F.
 std::string kernelSymbol(const Func &F);

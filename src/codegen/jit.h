@@ -29,10 +29,8 @@
 
 namespace ft {
 
-/// The kernel-side KernelStats counters as read back through the versioned
-/// `<symbol>_rt_stats` export (see rt::KernelStats::Field). Valid is false
-/// when the kernel lacks the export or was built against a different ABI
-/// version.
+/// A kernel's runtime counters (see rt::StatField), cumulative over its
+/// runs. Valid is false only for an empty Kernel handle.
 struct KernelRtStats {
   bool Valid = false;
   uint64_t Invocations = 0;
@@ -82,7 +80,8 @@ public:
                                          const CodegenOptions &Opts = {},
                                          const std::string &OptFlags = "-O3");
 
-  /// Runs the kernel binding each parameter by name.
+  /// Runs the kernel binding each parameter by name. Reentrant: any number
+  /// of threads may run one kernel at once, profiled or not.
   Status run(const std::map<std::string, Buffer *> &Args) const;
 
   /// Runs the kernel on behalf of serving request \p RequestId
@@ -92,14 +91,6 @@ public:
   /// join back to the requests that produced them (DESIGN.md §15).
   Status run(const std::map<std::string, Buffer *> &Args,
              uint64_t RequestId) const;
-
-  /// Caps this kernel's runtime thread pool at \p N workers (>= 1) via the
-  /// `<symbol>_rt_set_threads` export. Call before the first run to also
-  /// bound thread creation, not just thread use. The serving executor caps
-  /// every kernel it loads so K concurrent kernels cannot oversubscribe
-  /// the machine K-fold. No-op (returns false) for kernels predating the
-  /// export.
-  bool setMaxThreads(int N) const;
 
   /// Wall-clock seconds spent acquiring this kernel: host-compiler time on
   /// a cache miss, lookup + dlopen time on a cache hit.

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "codegen/codegen.h"
+#include "codegen/generator_id.h"
 #include "ir/compare.h"
 
 using namespace ft;
@@ -197,10 +198,11 @@ uint64_t ft::kernel_cache::compilerId() {
       ::pclose(P);
       H = combine(H, hashStr(Out));
     }
-    // The runtime header is compiled into every kernel; changing it changes
-    // the binary's behavior even for identical IR.
-    H = combine(H, hashStr(readWholeFile(std::string(FT_RUNTIME_INCLUDE_DIR) +
-                                         "/ft_runtime.h")));
+    // The code generator, the runtime header every kernel includes, and the
+    // runtime it calls, hashed at build time (src/CMakeLists.txt): a change
+    // to any of them changes the binaries for identical IR, or the ABI the
+    // host calls them with.
+    H = combine(H, static_cast<size_t>(FT_GENERATOR_ID));
     return static_cast<uint64_t>(H);
   }();
   return Id;

@@ -46,12 +46,14 @@ namespace ft::kernel_cache {
 /// the emitted code changes (e.g. a codegen bugfix that alters semantics
 /// without changing the IR): stale entries from older schemas then simply
 /// never hit.
-/// v2: kernels gained the `<symbol>_rt_set_threads` thread-budget export.
+/// v2: kernels gained a thread-budget export (since removed).
 /// v3: compilerId() additionally hashes the -march=native target state, so
 ///     a `.so` compiled on one micro-architecture can never hit on another
 ///     node sharing the cache directory (the old key let an AVX-512 binary
 ///     migrate to a machine without those units — SIGILL at best).
-inline constexpr uint64_t kSchemaVersion = 3;
+/// v4: kernels take the runtime handle `(void **params, const ft_rt *rt)`;
+///     a v3 `.so` called that way would crash.
+inline constexpr uint64_t kSchemaVersion = 4;
 
 /// Cache configuration as read from the environment.
 struct Config {
@@ -64,10 +66,10 @@ struct Config {
 Config config();
 
 /// Hash of `cc --version` output, the resolved `-march=native` target
-/// flags, and the JIT runtime header bytes, probed once per process. A
-/// compiler upgrade, a different host micro-architecture, or a
-/// runtime-header change moves every key, invalidating the store without
-/// touching it.
+/// flags, and the generator sources (emitter, JIT driver, kernel runtime)
+/// this library was built from, probed once per process. A compiler
+/// upgrade, a different host micro-architecture, or a rebuilt generator
+/// moves every key, invalidating the store without touching it.
 uint64_t compilerId();
 
 /// A derived cache key.

@@ -1,483 +1,140 @@
-//===- codegen/rt/ft_runtime.h - Runtime for generated kernels ---*- C++ -*-===//
+//===- codegen/rt/ft_runtime.h - Kernel ABI and helpers ---------*- C++ -*-===//
 ///
 /// \file
-/// Header-only runtime linked into every JIT-compiled kernel: a persistent
-/// thread pool backing `parallelFor` (the CPU lowering of the paper's
-/// `parallelize` schedule), atomic reductions (Fig. 13(e)), Python-style
-/// integer division, and a reference GEMM used by the `as_lib` schedule.
+/// The one header a JIT-compiled kernel includes, kept at libc weight so
+/// the host compiler parses almost nothing but the kernel itself. It holds
+/// the C ABI through which a kernel reaches the runtime (thread pool,
+/// counters, profile table, clock — all of it lives in the freetensor
+/// library, codegen/runtime.cpp), plus the inline helpers the emitted code
+/// calls: Python-style integer division, atomic reductions (Fig. 13(e)),
+/// min/max, sigmoid, heap tensors, and the reference GEMM of the `as_lib`
+/// schedule.
+///
+/// A kernel is `extern "C" void <sym>(void **params, const ft_rt *rt)`.
+/// The kernel keeps no state of its own: no statics, no thread-locals.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FT_CODEGEN_RT_FT_RUNTIME_H
 #define FT_CODEGEN_RT_FT_RUNTIME_H
 
-#include <array>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdlib>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
+
+/// Counters for one instrumented statement (a For, a GemmCall, or the
+/// kernel body itself). Hot inner loops are timed on 1 in 64 invocations;
+/// TimedCalls/TimedIters record which share of the work Ns covers, so the
+/// host extrapolates EstNs = Ns * Iters / TimedIters. Calls and Iters are
+/// always exact.
+struct ft_prof_entry {
+  uint64_t Calls;      ///< Times the statement was entered.
+  uint64_t Iters;      ///< Loop iterations executed (1/call for gemm).
+  uint64_t Ns;         ///< Clock ticks over the timed entries only.
+  uint64_t TimedCalls; ///< Entries covered by Ns.
+  uint64_t TimedIters; ///< Iterations covered by Ns.
+};
+
+/// One chunk [begin, end) of a parallel region, run on profile lane `lane`.
+typedef void (*ft_chunk_fn)(void *ctx, int64_t begin, int64_t end, int lane);
+
+/// What Kernel::run hands a kernel for one invocation.
+struct ft_rt {
+  /// This kernel's counters, indexed by ft::rt::StatField; updated with
+  /// relaxed atomics.
+  uint64_t *stats;
+  /// Profile lanes (null unless the kernel is profiled): lanes[0] belongs
+  /// to this invocation's caller, lanes[w] to pool thread w. A lane is only
+  /// ever written by one thread at a time, so its counters need no atomics.
+  ft_prof_entry *const *lanes;
+  /// Runs fn over [begin, end) in chunks on the process-wide pool and
+  /// returns when every chunk has finished.
+  void (*parallel_for)(const ft_rt *rt, int64_t begin, int64_t end,
+                       ft_chunk_fn fn, void *ctx);
+  /// Profile clock for targets without a cycle counter.
+  uint64_t (*clock)(void);
+};
 
 namespace ft {
 namespace rt {
 
-/// Per-kernel runtime telemetry. Header-only and RTLD_LOCAL means every
-/// JIT-compiled .so carries its own private copy, so the numbers are per
-/// kernel library; codegen exports a `<symbol>_rt_stats` reader that the
-/// host JIT dlsym's to pull them back into the compiler's trace (the
-/// "generated programs report their own execution counts" half of the
-/// observability layer).
-struct KernelStats {
-  /// Field order of the versioned `<symbol>_rt_stats` export. Append-only:
-  /// new fields go before kNumFields and bump kAbiVersion.
-  enum Field : uint32_t {
-    FInvocations = 0,   ///< Kernel entry calls.
-    FParallelFors,      ///< parallelFor regions run.
-    FParallelIters,     ///< Iterations across regions.
-    FGemmCalls,         ///< Library gemm invocations.
-    FCurrentBytes,      ///< Live kernel-allocated tensor bytes right now.
-    FPeakBytes,         ///< High-water mark of FCurrentBytes.
-    FTotalAllocBytes,   ///< Cumulative bytes ever allocated.
-    FAllocCount,        ///< Number of tracked allocations.
-    kNumFields,
-  };
-
-  /// Bumped whenever the field list above changes. The export writes a
-  /// header word `(kAbiVersion << 32) | kNumFields` ahead of the fields so
-  /// a host built against a different runtime can detect the skew instead
-  /// of silently misreading counters.
-  static constexpr uint32_t kAbiVersion = 2;
-
-  std::atomic<uint64_t> Invocations{0};
-  std::atomic<uint64_t> ParallelFors{0};
-  std::atomic<uint64_t> ParallelIters{0};
-  std::atomic<uint64_t> GemmCalls{0};
-  std::atomic<uint64_t> CurrentBytes{0};
-  std::atomic<uint64_t> PeakBytes{0};
-  std::atomic<uint64_t> TotalAllocBytes{0};
-  std::atomic<uint64_t> AllocCount{0};
-
-  static KernelStats &instance() {
-    static KernelStats S;
-    return S;
-  }
-
-  /// Writes the header word followed by the kNumFields counters into
-  /// \p Out, which must hold at least 1 + kNumFields words.
-  void read(uint64_t *Out) const {
-    Out[0] = (uint64_t(kAbiVersion) << 32) | uint64_t(kNumFields);
-    Out[1 + FInvocations] = Invocations.load(std::memory_order_relaxed);
-    Out[1 + FParallelFors] = ParallelFors.load(std::memory_order_relaxed);
-    Out[1 + FParallelIters] = ParallelIters.load(std::memory_order_relaxed);
-    Out[1 + FGemmCalls] = GemmCalls.load(std::memory_order_relaxed);
-    Out[1 + FCurrentBytes] = CurrentBytes.load(std::memory_order_relaxed);
-    Out[1 + FPeakBytes] = PeakBytes.load(std::memory_order_relaxed);
-    Out[1 + FTotalAllocBytes] =
-        TotalAllocBytes.load(std::memory_order_relaxed);
-    Out[1 + FAllocCount] = AllocCount.load(std::memory_order_relaxed);
-  }
+/// Index of each counter in ft_rt::stats (see ft::KernelRtStats).
+enum StatField : uint32_t {
+  FInvocations = 0, ///< Kernel entry calls.
+  FParallelFors,    ///< Parallel regions run.
+  FParallelIters,   ///< Iterations across regions.
+  FGemmCalls,       ///< Library gemm invocations.
+  FCurrentBytes,    ///< Live kernel-allocated tensor bytes right now.
+  FPeakBytes,       ///< High-water mark of FCurrentBytes.
+  FTotalAllocBytes, ///< Cumulative bytes ever allocated.
+  FAllocCount,      ///< Number of tracked allocations.
+  kNumFields,
 };
 
-//===----------------------------------------------------------------------===//
-// Memory accounting (profile-mode codegen wraps every kernel-allocated
-// tensor in a ScopedAlloc; parameters are caller-owned and not counted).
-//===----------------------------------------------------------------------===//
-
-inline void trackAlloc(uint64_t Bytes) {
-  KernelStats &KS = KernelStats::instance();
-  KS.AllocCount.fetch_add(1, std::memory_order_relaxed);
-  KS.TotalAllocBytes.fetch_add(Bytes, std::memory_order_relaxed);
-  uint64_t Cur =
-      KS.CurrentBytes.fetch_add(Bytes, std::memory_order_relaxed) + Bytes;
-  uint64_t Peak = KS.PeakBytes.load(std::memory_order_relaxed);
-  while (Cur > Peak && !KS.PeakBytes.compare_exchange_weak(
-                           Peak, Cur, std::memory_order_relaxed)) {
-  }
+inline void count(const ft_rt *Rt, StatField F, uint64_t N) {
+  __atomic_fetch_add(&Rt->stats[F], N, __ATOMIC_RELAXED);
 }
 
-inline void trackFree(uint64_t Bytes) {
-  KernelStats::instance().CurrentBytes.fetch_sub(Bytes,
-                                                 std::memory_order_relaxed);
-}
-
-/// RAII live-byte tracker emitted next to a tensor's storage declaration;
-/// its scope is the tensor's VarDef scope, so CurrentBytes follows the
-/// stack-scoped lifetimes of the IR.
-struct ScopedAlloc {
+/// Zero-filled storage of a heap-backed tensor for the tensor's scope.
+/// With a non-null \p Track (profile mode) its bytes are accounted in the
+/// kernel's memory counters.
+template <typename T> struct HeapBuf {
+  T *Data;
   uint64_t Bytes;
-  explicit ScopedAlloc(uint64_t B) : Bytes(B) { trackAlloc(B); }
-  ~ScopedAlloc() { trackFree(Bytes); }
-  ScopedAlloc(const ScopedAlloc &) = delete;
-  ScopedAlloc &operator=(const ScopedAlloc &) = delete;
+  const ft_rt *Track;
+  HeapBuf(int64_t N, const ft_rt *Track)
+      : Data(static_cast<T *>(std::calloc(N > 0 ? N : 1, sizeof(T)))),
+        Bytes(uint64_t(N > 0 ? N : 0) * sizeof(T)), Track(Track) {
+    if (!Data)
+      __builtin_trap();
+    if (!Track)
+      return;
+    count(Track, FAllocCount, 1);
+    count(Track, FTotalAllocBytes, Bytes);
+    uint64_t *S = Track->stats;
+    uint64_t Cur =
+        __atomic_add_fetch(&S[FCurrentBytes], Bytes, __ATOMIC_RELAXED);
+    uint64_t Peak = __atomic_load_n(&S[FPeakBytes], __ATOMIC_RELAXED);
+    while (Cur > Peak &&
+           !__atomic_compare_exchange_n(&S[FPeakBytes], &Peak, Cur, true,
+                                        __ATOMIC_RELAXED, __ATOMIC_RELAXED)) {
+    }
+  }
+  ~HeapBuf() {
+    if (Track)
+      __atomic_fetch_sub(&Track->stats[FCurrentBytes], Bytes,
+                         __ATOMIC_RELAXED);
+    std::free(Data);
+  }
+  HeapBuf(const HeapBuf &) = delete;
+  HeapBuf &operator=(const HeapBuf &) = delete;
 };
 
-//===----------------------------------------------------------------------===//
-// Per-statement profiler (codegen profile mode)
-//===----------------------------------------------------------------------===//
-
-/// Counters for one instrumented statement (a For, a GemmCall, or the
-/// kernel body itself). Hot inner ("leaf") loops are timed on a 1-in-64
-/// call sample to keep overhead low; TimedCalls/TimedIters record exactly
-/// which share of the work the Ns field covers, so the host extrapolates
-/// EstNs = Ns * Iters / TimedIters. Calls and Iters are always exact.
-struct ProfileEntry {
-  uint64_t Calls = 0;      ///< Times the statement was entered.
-  uint64_t Iters = 0;      ///< Loop iterations executed (1/call for gemm).
-  uint64_t Ns = 0;         ///< Wall-clock ns over the timed entries only.
-  uint64_t TimedCalls = 0; ///< Entries covered by Ns.
-  uint64_t TimedIters = 0; ///< Iterations covered by Ns.
-};
-
-/// Words per slot record in the `<symbol>_rt_profile` export:
-/// [StmtId, Calls, Iters, Ns, TimedCalls, TimedIters].
-constexpr uint32_t kProfileFieldsPerSlot = 6;
-/// Version of the profile export layout (header word ahead of the slots).
-constexpr uint32_t kProfileAbiVersion = 1;
+/// Runs Body(chunkBegin, chunkEnd, lane) over [Begin, End) on the pool:
+/// one indirect call per chunk, the loop itself stays inline in Body.
+template <typename Body>
+inline void parallelFor(const ft_rt *Rt, int64_t Begin, int64_t End,
+                        Body B) {
+  Rt->parallel_for(
+      Rt, Begin, End,
+      [](void *Ctx, int64_t CB, int64_t CE, int Lane) {
+        (*static_cast<Body *>(Ctx))(CB, CE, Lane);
+      },
+      &B);
+}
 
 /// Timestamp for the instrumentation brackets. On x86 this is rdtsc — a
-/// plain two-register instruction, not a function call, so the sampled
-/// bracket does not clobber vector registers and the compiler stays free
-/// to cache accumulators across iterations of the surrounding loops (a
-/// clock_gettime call on the sampled path costs >20% on fine-grained
-/// kernels even when almost never executed, purely from the call-clobber
-/// pessimization). Ticks are converted to nanoseconds only on the read
-/// path via profNsPerTick().
-inline uint64_t profClock() {
+/// plain instruction, not a call, so the sampled bracket does not clobber
+/// vector registers and the compiler stays free to keep accumulators in
+/// registers across the surrounding loops. The host converts ticks to
+/// nanoseconds when it reads the table.
+inline uint64_t profClock(const ft_rt *Rt) {
 #if defined(__x86_64__) || defined(__i386__)
+  (void)Rt;
   return __builtin_ia32_rdtsc();
 #else
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+  return Rt->clock();
 #endif
-}
-
-/// Nanoseconds per profClock() tick, calibrated once per module against
-/// the steady clock over a ~2 ms window. Cold path only (profile export);
-/// never touched by generated loop code.
-inline double profNsPerTick() {
-#if defined(__x86_64__) || defined(__i386__)
-  static const double NsPerTick = [] {
-    auto T0 = std::chrono::steady_clock::now();
-    uint64_t C0 = __builtin_ia32_rdtsc();
-    for (;;) {
-      auto T1 = std::chrono::steady_clock::now();
-      if (T1 - T0 >= std::chrono::milliseconds(2)) {
-        uint64_t C1 = __builtin_ia32_rdtsc();
-        double Ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        T1 - T0)
-                        .count();
-        return C1 > C0 ? Ns / double(C1 - C0) : 1.0;
-      }
-    }
-  }();
-  return NsPerTick;
-#else
-  return 1.0;
-#endif
-}
-
-/// The per-kernel profile accumulator. Each executing identity — 0 for
-/// the thread calling the kernel entry (which also runs chunk 0 of every
-/// parallelFor), 1.. for pool worker chunks, plumbed into parallelFor
-/// bodies as an explicit argument — owns a private slot array, so the
-/// per-iteration hot path is a plain non-atomic add; read() merges all
-/// arrays. Worker threads are joined before any read (parallelFor blocks
-/// until the region drains), so the merge observes quiescent buffers.
-///
-/// Deliberately NO thread_local anywhere in this class: a kernel .so
-/// lives and dies by dlopen/dlclose, and glibc recycles both the module
-/// load address and its static-TLS block without zeroing — a reloaded
-/// kernel can observe the previous module's TLS bytes, turning a "cached"
-/// slot pointer into a dangling write into freed host heap. Identity by
-/// value cannot go stale.
-class ProfileTable {
-public:
-  /// Worker identities: ThreadPool clamps to 256 threads, plus the
-  /// calling thread.
-  static constexpr uint32_t kMaxWorkers = 257;
-
-  static ProfileTable &instance() {
-    static ProfileTable T;
-    return T;
-  }
-
-  ~ProfileTable() {
-    for (auto &S : Slots)
-      delete[] S.load(std::memory_order_relaxed);
-  }
-
-  /// The slot array for identity \p W, sized for \p NumSlots statements
-  /// (one kernel per .so, so NumSlots is the same for every call). After
-  /// the first touch per identity this is one acquire load and a compare.
-  ProfileEntry *workerSlots(uint32_t W, uint32_t NumSlots) {
-    if (W >= kMaxWorkers)
-      W = kMaxWorkers - 1;
-    ProfileEntry *P = Slots[W].load(std::memory_order_acquire);
-    if (P)
-      return P;
-    std::lock_guard<std::mutex> Lock(M);
-    P = Slots[W].load(std::memory_order_relaxed);
-    if (!P) {
-      P = new ProfileEntry[NumSlots]();
-      Slots[W].store(P, std::memory_order_release);
-    }
-    return P;
-  }
-
-  /// Merges every identity's counters. \p Out receives NumSlots records
-  /// of kProfileFieldsPerSlot words each, slot s labeled with StmtIds[s].
-  void read(const int64_t *StmtIds, uint32_t NumSlots, uint64_t *Out) {
-    std::lock_guard<std::mutex> Lock(M);
-    for (uint32_t S = 0; S < NumSlots; ++S) {
-      ProfileEntry Sum;
-      for (const auto &SlotPtr : Slots) {
-        const ProfileEntry *B = SlotPtr.load(std::memory_order_acquire);
-        if (!B)
-          continue;
-        const ProfileEntry &E = B[S];
-        Sum.Calls += E.Calls;
-        Sum.Iters += E.Iters;
-        Sum.Ns += E.Ns;
-        Sum.TimedCalls += E.TimedCalls;
-        Sum.TimedIters += E.TimedIters;
-      }
-      uint64_t *R = Out + uint64_t(S) * kProfileFieldsPerSlot;
-      R[0] = static_cast<uint64_t>(StmtIds[S]);
-      R[1] = Sum.Calls;
-      R[2] = Sum.Iters;
-      // Ns accumulates raw profClock() ticks; exported as nanoseconds.
-      R[3] = static_cast<uint64_t>(double(Sum.Ns) * profNsPerTick());
-      R[4] = Sum.TimedCalls;
-      R[5] = Sum.TimedIters;
-    }
-  }
-
-private:
-  std::mutex M;
-  std::array<std::atomic<ProfileEntry *>, kMaxWorkers> Slots{};
-};
-
-/// Kernel-entry slot array (identity 0).
-inline ProfileEntry *profSlots(uint32_t NumSlots) {
-  return ProfileTable::instance().workerSlots(0, NumSlots);
-}
-
-/// Slot array for one parallelFor chunk; \p W is the chunk index the pool
-/// passes into worker-aware bodies (0 = the calling thread, same array as
-/// the kernel entry's).
-inline ProfileEntry *profWorkerSlots(int W, uint32_t NumSlots) {
-  return ProfileTable::instance().workerSlots(static_cast<uint32_t>(W),
-                                              NumSlots);
-}
-
-/// Upper bound on the workers this kernel's pool may use, settable from the
-/// host through the `<symbol>_rt_set_threads` export (Kernel::setMaxThreads).
-/// Each JIT-compiled .so carries a private ThreadPool that would otherwise
-/// size itself from FT_NUM_THREADS / hardware_concurrency independently, so
-/// K concurrently-running kernels would oversubscribe the machine K times;
-/// the host divides its thread budget across the kernels it intends to run
-/// concurrently (the serving executor caps every kernel it loads). The cap
-/// is honored both at pool construction (threads are never spawned past it)
-/// and per parallelFor region (a later, lower cap idles excess workers).
-inline std::atomic<int> &poolCap() {
-  static std::atomic<int> Cap{1 << 30};
-  return Cap;
-}
-
-inline void setPoolCap(int N) {
-  poolCap().store(N < 1 ? 1 : N, std::memory_order_relaxed);
-}
-
-/// A minimal persistent thread pool. Work items are half-open index ranges;
-/// the calling thread participates, so a pool on a single-core machine
-/// degenerates to a plain loop.
-class ThreadPool {
-public:
-  static ThreadPool &instance() {
-    static ThreadPool Pool;
-    return Pool;
-  }
-
-  int numThreads() const { return NumThreads; }
-
-  /// Runs Fn(i) for i in [Begin, End), statically chunked over workers.
-  void parallelFor(int64_t Begin, int64_t End,
-                   const std::function<void(int64_t)> &Fn) {
-    int64_t N = End - Begin;
-    if (N <= 0)
-      return;
-    KernelStats &KS = KernelStats::instance();
-    KS.ParallelFors.fetch_add(1, std::memory_order_relaxed);
-    KS.ParallelIters.fetch_add(static_cast<uint64_t>(N),
-                               std::memory_order_relaxed);
-    int Workers = cappedWorkers();
-    if (N < Workers || Workers <= 1) {
-      for (int64_t I = Begin; I < End; ++I)
-        Fn(I);
-      return;
-    }
-    std::atomic<int> Remaining{Workers - 1};
-    std::mutex DoneMutex;
-    std::condition_variable DoneCv;
-    auto RunChunk = [&](int W) {
-      int64_t Chunk = (N + Workers - 1) / Workers;
-      int64_t B = Begin + W * Chunk;
-      int64_t E = std::min(End, B + Chunk);
-      for (int64_t I = B; I < E; ++I)
-        Fn(I);
-    };
-    {
-      std::lock_guard<std::mutex> Lock(TaskMutex);
-      for (int W = 1; W < Workers; ++W)
-        Tasks.push_back([&, W] {
-          RunChunk(W);
-          if (Remaining.fetch_sub(1) == 1) {
-            std::lock_guard<std::mutex> DL(DoneMutex);
-            DoneCv.notify_one();
-          }
-        });
-    }
-    TaskCv.notify_all();
-    RunChunk(0);
-    std::unique_lock<std::mutex> DL(DoneMutex);
-    DoneCv.wait(DL, [&] { return Remaining.load() == 0; });
-  }
-
-  /// Worker-aware variant used by profiled kernels: Fn additionally
-  /// receives the chunk index W in [0, numThreads()), 0 being the calling
-  /// thread. Distinct chunks of one region never share a W, which is what
-  /// lets the profiler keep non-atomic per-chunk counter arrays without
-  /// any thread-local state (see ProfileTable). A nested region entered
-  /// from a worker reuses W = 0 for its caller and may therefore lose
-  /// counter increments to a benign race with the true chunk-0 thread;
-  /// counts stay exact for the non-nested regions schedules produce today.
-  void parallelFor(int64_t Begin, int64_t End,
-                   const std::function<void(int64_t, int)> &Fn) {
-    int64_t N = End - Begin;
-    if (N <= 0)
-      return;
-    KernelStats &KS = KernelStats::instance();
-    KS.ParallelFors.fetch_add(1, std::memory_order_relaxed);
-    KS.ParallelIters.fetch_add(static_cast<uint64_t>(N),
-                               std::memory_order_relaxed);
-    int Workers = cappedWorkers();
-    if (N < Workers || Workers <= 1) {
-      for (int64_t I = Begin; I < End; ++I)
-        Fn(I, 0);
-      return;
-    }
-    std::atomic<int> Remaining{Workers - 1};
-    std::mutex DoneMutex;
-    std::condition_variable DoneCv;
-    auto RunChunk = [&](int W) {
-      int64_t Chunk = (N + Workers - 1) / Workers;
-      int64_t B = Begin + W * Chunk;
-      int64_t E = std::min(End, B + Chunk);
-      for (int64_t I = B; I < E; ++I)
-        Fn(I, W);
-    };
-    {
-      std::lock_guard<std::mutex> Lock(TaskMutex);
-      for (int W = 1; W < Workers; ++W)
-        Tasks.push_back([&, W] {
-          RunChunk(W);
-          if (Remaining.fetch_sub(1) == 1) {
-            std::lock_guard<std::mutex> DL(DoneMutex);
-            DoneCv.notify_one();
-          }
-        });
-    }
-    TaskCv.notify_all();
-    RunChunk(0);
-    std::unique_lock<std::mutex> DL(DoneMutex);
-    DoneCv.wait(DL, [&] { return Remaining.load() == 0; });
-  }
-
-private:
-  /// Active workers for the next region: the configured pool size clamped
-  /// by the host-set cap (the cap can drop below NumThreads after the pool
-  /// was built; the surplus threads then simply receive no tasks).
-  int cappedWorkers() const {
-    int Cap = poolCap().load(std::memory_order_relaxed);
-    int W = NumThreads < Cap ? NumThreads : Cap;
-    return W < 1 ? 1 : W;
-  }
-
-  ThreadPool() {
-    NumThreads = static_cast<int>(std::thread::hardware_concurrency());
-    // FT_NUM_THREADS overrides hardware_concurrency (clamped to [1, 256]);
-    // the only way to exercise multi-thread parallelFor paths
-    // deterministically on a small machine, and to pin them to 1 on a big
-    // one.
-    if (const char *Env = std::getenv("FT_NUM_THREADS");
-        Env != nullptr && Env[0] != '\0') {
-      char *End = nullptr;
-      long V = std::strtol(Env, &End, 10);
-      if (End != Env && *End == '\0')
-        NumThreads = static_cast<int>(V < 1 ? 1 : (V > 256 ? 256 : V));
-    }
-    if (NumThreads < 1)
-      NumThreads = 1;
-    // A cap installed before first use (the host calls setMaxThreads right
-    // after dlopen, before the kernel ever runs) bounds the threads we
-    // spawn at all, not just the ones we use.
-    int Cap = poolCap().load(std::memory_order_relaxed);
-    if (NumThreads > Cap)
-      NumThreads = Cap < 1 ? 1 : Cap;
-    for (int W = 1; W < NumThreads; ++W)
-      Threads.emplace_back([this] { workerLoop(); });
-  }
-
-  ~ThreadPool() {
-    {
-      std::lock_guard<std::mutex> Lock(TaskMutex);
-      Stop = true;
-    }
-    TaskCv.notify_all();
-    for (std::thread &T : Threads)
-      T.join();
-  }
-
-  void workerLoop() {
-    for (;;) {
-      std::function<void()> Task;
-      {
-        std::unique_lock<std::mutex> Lock(TaskMutex);
-        TaskCv.wait(Lock, [this] { return Stop || !Tasks.empty(); });
-        if (Stop && Tasks.empty())
-          return;
-        Task = std::move(Tasks.back());
-        Tasks.pop_back();
-      }
-      Task();
-    }
-  }
-
-  int NumThreads = 1;
-  std::vector<std::thread> Threads;
-  std::vector<std::function<void()>> Tasks;
-  std::mutex TaskMutex;
-  std::condition_variable TaskCv;
-  bool Stop = false;
-};
-
-inline void parallelFor(int64_t Begin, int64_t End,
-                        const std::function<void(int64_t)> &Fn) {
-  ThreadPool::instance().parallelFor(Begin, End, Fn);
-}
-
-/// Worker-aware variant (profiled kernels); see ThreadPool::parallelFor.
-inline void parallelFor(int64_t Begin, int64_t End,
-                        const std::function<void(int64_t, int)> &Fn) {
-  ThreadPool::instance().parallelFor(Begin, End, Fn);
 }
 
 /// Floor division / modulo with Python semantics (divisor sign).
@@ -495,14 +152,19 @@ inline int64_t floorMod(int64_t A, int64_t B) {
   return R;
 }
 
+/// Same results as std::min/std::max, NaN ordering included.
+template <typename T> inline T min(T A, T B) { return B < A ? B : A; }
+template <typename T> inline T max(T A, T B) { return A < B ? B : A; }
+
 /// Atomic read-modify-write via compare-exchange (works for any scalar).
 template <typename T, typename OpFn>
 inline void atomicRmw(T *Addr, T Val, OpFn Op) {
-  std::atomic_ref<T> Ref(*Addr);
-  T Old = Ref.load(std::memory_order_relaxed);
-  while (!Ref.compare_exchange_weak(Old, Op(Old, Val),
-                                    std::memory_order_relaxed)) {
-  }
+  T Old;
+  __atomic_load(Addr, &Old, __ATOMIC_RELAXED);
+  T New = Op(Old, Val);
+  while (!__atomic_compare_exchange(Addr, &Old, &New, true, __ATOMIC_RELAXED,
+                                    __ATOMIC_RELAXED))
+    New = Op(Old, Val);
 }
 
 template <typename T> inline void atomicAdd(T *Addr, T Val) {
@@ -527,7 +189,6 @@ template <typename T> inline T sigmoid(T X) {
 template <typename T>
 inline void gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
                  const T *A, const T *B, T *C) {
-  KernelStats::instance().GemmCalls.fetch_add(1, std::memory_order_relaxed);
   auto AAt = [&](int64_t I, int64_t Kk) {
     return TransA ? A[Kk * M + I] : A[I * K + Kk];
   };
@@ -537,8 +198,8 @@ inline void gemm(bool TransA, bool TransB, int64_t M, int64_t N, int64_t K,
   constexpr int64_t Tile = 48;
   for (int64_t I0 = 0; I0 < M; I0 += Tile)
     for (int64_t K0 = 0; K0 < K; K0 += Tile)
-      for (int64_t I = I0; I < std::min(M, I0 + Tile); ++I)
-        for (int64_t Kk = K0; Kk < std::min(K, K0 + Tile); ++Kk) {
+      for (int64_t I = I0; I < min(M, I0 + Tile); ++I)
+        for (int64_t Kk = K0; Kk < min(K, K0 + Tile); ++Kk) {
           T AV = AAt(I, Kk);
           for (int64_t J = 0; J < N; ++J)
             C[I * N + J] += AV * BAt(Kk, J);

@@ -6,8 +6,9 @@
 ///   - Submitters (any thread) intern the fingerprint, win-or-lose the
 ///     single compile trigger, and push a Request onto the bounded queue.
 ///   - `Config::Threads` workers pop requests, gather a same-fingerprint
-///     micro-batch, and execute it under the entry's RunMu on whichever
-///     tier the entry currently offers.
+///     micro-batch, and execute it on whichever tier the entry currently
+///     offers. Kernels and the interpreter are reentrant, so any number of
+///     workers may run the same fingerprint at once.
 ///   - One compile thread drains the compile queue; each job runs the host
 ///     compiler once and flips its entry to Ready or Failed.
 ///
@@ -83,8 +84,6 @@ Config Config::fromEnv() {
   if (const char *E = std::getenv("FT_SERVE_OPT_FLAGS"))
     if (*E)
       C.OptFlags = E;
-  C.RtThreadBudget = static_cast<int>(
-      envLong("FT_SERVE_RT_THREADS", C.RtThreadBudget, 0));
   if (const char *E = std::getenv("FT_SLO_TENANT"))
     if (*E)
       C.DefaultTenant = E;
@@ -213,20 +212,6 @@ struct Executor::Impl {
   std::mutex ShutdownMu;
   bool Joined = false;
 
-  /// Per-kernel worker-thread cap so `Threads` concurrently executing
-  /// kernels stay within the host budget (satellite #2 of the PR: without
-  /// the cap, K kernels each sized to hardware_concurrency oversubscribe
-  /// the machine K-fold).
-  void capThreads(const Kernel &K) const {
-    int Budget = C.RtThreadBudget > 0
-                     ? C.RtThreadBudget
-                     : static_cast<int>(std::thread::hardware_concurrency());
-    if (Budget < 1)
-      Budget = 1;
-    int Per = Budget / C.Threads;
-    K.setMaxThreads(Per < 1 ? 1 : Per);
-  }
-
   void bumpOutstanding() {
     std::lock_guard<std::mutex> Lock(DrainMu);
     ++Outstanding;
@@ -258,7 +243,6 @@ struct Executor::Impl {
     if (E->state() != KernelState::Cold || !E->beginCompile())
       return;
     if (std::optional<Kernel> K = Kernel::tryCached(E->F, {}, C.OptFlags)) {
-      capThreads(*K);
       Stats.CacheHits.fetch_add(1);
       E->finishCompile(std::move(*K));
       return;
@@ -370,7 +354,6 @@ struct Executor::Impl {
         Sp.annotate("ok", std::string(R.ok() ? "true" : "false"));
       }
       if (R.ok()) {
-        capThreads(*R);
         E->finishCompile(std::move(*R));
       } else {
         (E->IsSpec ? Stats.SpecCompilesFailed : Stats.CompilesFailed)
@@ -404,12 +387,6 @@ struct Executor::Impl {
 
   void executeBatch(std::vector<Request> &Batch) {
     std::shared_ptr<KernelEntry> E = Batch.front().E;
-    // Serialize same-fingerprint execution: one kernel's runtime (profile
-    // slots, private thread pool) is not reentrant. Distinct fingerprints
-    // proceed in parallel on other workers.
-    std::lock_guard<std::mutex> RunLock(E->RunMu);
-    std::optional<Kernel> K = E->kernel();
-
     Stats.Batches.fetch_add(1);
     uint64_t Prev = MaxBatch.load();
     while (Batch.size() > Prev &&
@@ -431,11 +408,12 @@ struct Executor::Impl {
       // otherwise redo.
       Status S = validateArgs(E->F, Req.Args, E->Extents);
       const bool ArgsOk = S.ok();
-      // Tier selection is per request: on a shape-generic entry, a request
-      // whose shape bucket has a landed specialization is served by that
-      // kernel; everything else takes the generic kernel (or the
+      // Tier selection is per request: a compile that lands mid-batch
+      // serves the rest of the batch, and on a shape-generic entry, a
+      // request whose shape bucket has a landed specialization is served by
+      // that kernel; everything else takes the generic kernel (or the
       // interpreter while it compiles).
-      std::optional<Kernel> UseK = K;
+      std::optional<Kernel> UseK = E->kernel();
       bool Specialized = false;
       if (ArgsOk && C.Specialize && !E->Extents.empty())
         if (std::optional<Kernel> SK = specKernelFor(E.get(), Req)) {

@@ -79,12 +79,10 @@ struct Config {
   /// default "-O2": server-style workloads prefer compile latency over the
   /// last few percent of kernel speed).
   std::string OptFlags = "-O2";
-  /// Total kernel worker threads budgeted across every concurrently
-  /// executing kernel (FT_SERVE_RT_THREADS, default
-  /// hardware_concurrency). Each compiled kernel is capped at
-  /// max(1, budget / Threads) via Kernel::setMaxThreads so Threads
-  /// concurrent kernels cannot oversubscribe the machine.
-  int RtThreadBudget = 0; ///< 0 = hardware_concurrency.
+  /// Ignored by the executor: every kernel shares the one process-wide
+  /// pool that FT_NUM_THREADS sizes. Still declared because callers
+  /// outside this library assign it.
+  int RtThreadBudget = 0;
   /// Tenant label stamped on requests that pass no SubmitOptions::Tenant
   /// (FT_SLO_TENANT, default "default") — SLO accounting always has a
   /// bucket to land in.

@@ -7,7 +7,10 @@
 //===----------------------------------------------------------------------===//
 
 #include <cmath>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <set>
+#include <sstream>
 
 #include "codegen/codegen.h"
 #include "codegen/jit.h"
@@ -150,6 +153,40 @@ TEST(CodegenTest, GemmCallLowersToRuntime) {
   expectJitMatchesInterp(S.func(),
                          {{"A", {9, 7}}, {"B", {7, 5}}, {"C", {9, 5}}},
                          {"C"}, 1e-4);
+}
+
+TEST(CodegenTest, KernelIncludesOnlyLibcLevelHeaders) {
+  // The host compiler parses the kernel plus ft_runtime.h on every cold
+  // compile; neither may pull in heavy C++ headers (<thread>, <vector>,
+  // <functional>, ...): the runtime behind them lives in the library.
+  const int64_t N = 300;
+  FunctionBuilder B("inc");
+  View X = B.input("x", {makeIntConst(N)});
+  View Y = B.output("y", {makeIntConst(N)});
+  int64_t L = B.loop("i", 0, N, [&](Expr I) {
+    Y[I].assign(makeMin(X[I].load(), makeFloatConst(0.5)));
+  });
+  Schedule S(B.build());
+  ASSERT_TRUE(S.parallelize(L).ok());
+  CodegenOptions Prof;
+  Prof.Profile = true;
+  std::ifstream H(std::string(FT_RUNTIME_INCLUDE_DIR) + "/ft_runtime.h");
+  std::string Header((std::istreambuf_iterator<char>(H)),
+                     std::istreambuf_iterator<char>());
+  ASSERT_FALSE(Header.empty());
+  const std::set<std::string> Allowed = {"<cmath>", "<cstdint>", "<cstdlib>",
+                                         "\"ft_runtime.h\""};
+  for (const std::string &Src :
+       {generateCpp(S.func()), generateCpp(S.func(), Prof), Header}) {
+    std::istringstream In(Src);
+    int Includes = 0;
+    for (std::string Line; std::getline(In, Line);)
+      if (Line.rfind("#include ", 0) == 0) {
+        ++Includes;
+        EXPECT_TRUE(Allowed.count(Line.substr(9))) << Line;
+      }
+    EXPECT_GT(Includes, 0);
+  }
 }
 
 TEST(CodegenTest, VectorizeAndUnrollPragmasCompile) {

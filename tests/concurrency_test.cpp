@@ -11,10 +11,11 @@
 //     with its bound intact and every handle it returns still runnable;
 //   - N threads compiling the same program concurrently all succeed and
 //     agree bit-for-bit (first-writer-wins insert, shared handles);
-//   - two kernels with private thread pools executing concurrently under
-//     Kernel::setMaxThreads caps still produce exact profile counts and
-//     correct outputs — the oversubscription fix must not break the
-//     per-chunk (non-atomic, worker-indexed) profile slots.
+//   - kernels share one process-wide pool (FT_NUM_THREADS, set by ctest):
+//     two profiled kernels at once, and one profiled kernel run from four
+//     threads at once, keep exact profile counts and outputs; thousands of
+//     short regions all finish; and eight loaded kernels add no threads
+//     beyond the pool's FT_NUM_THREADS - 1.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +23,8 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <dirent.h>
+#include <fstream>
 #include <functional>
 #include <gtest/gtest.h>
 #include <thread>
@@ -31,6 +34,7 @@
 #include "codegen/jit.h"
 #include "codegen/kernel_cache.h"
 #include "codegen/profile.h"
+#include "codegen/runtime.h"
 #include "frontend/builder.h"
 #include "schedule/schedule.h"
 #include "support/metrics.h"
@@ -223,83 +227,171 @@ TEST_F(ConcurrencyTest, ConcurrentCompilesOfSameProgramAgree) {
 }
 
 //===--------------------------------------------------------------------===//
-// Two concurrent kernels under a host thread budget (oversubscription fix).
+// Kernels on the one process-wide pool.
 //===--------------------------------------------------------------------===//
 
-TEST_F(ConcurrencyTest, TwoCappedProfiledKernelsKeepExactCounts) {
-  // Each kernel's pool would size itself to 4 from the environment; the
-  // host caps each at 2 so the pair stays within a 4-thread budget.
-  setenv("FT_NUM_THREADS", "4", 1);
+namespace {
 
-  const int64_t N = 4096;
-  struct Ctx {
-    Func F;
-    int64_t LoopId = 0;
-    std::optional<Kernel> K;
-  };
-  std::vector<Ctx> Cs(2);
-  for (int Idx = 0; Idx < 2; ++Idx) {
-    FunctionBuilder B("cap" + std::to_string(Idx));
+/// A profiled kernel computing y = a * Scale + 1 over N elements with its
+/// one loop parallelized.
+struct ParallelAxpy {
+  int64_t N = 0;
+  double Scale = 0;
+  int64_t LoopId = -1;
+  std::optional<Kernel> K;
+
+  ParallelAxpy(const std::string &Name, int64_t N, double Scale,
+               bool Profile = true)
+      : N(N), Scale(Scale) {
+    FunctionBuilder B(Name);
     View A = B.input("a", {makeIntConst(N)});
     View Y = B.output("y", {makeIntConst(N)});
-    int64_t L = B.loop(
+    LoopId = B.loop(
         "i", 0, N,
         [&](Expr I) {
-          Y[I].assign(A[I].load() * makeFloatConst(2.0 + Idx) +
+          Y[I].assign(A[I].load() * makeFloatConst(Scale) +
                       makeFloatConst(1.0));
         },
         "rows");
-    Cs[Idx].F = B.build();
-    Cs[Idx].LoopId = L;
-
-    Schedule S(Cs[Idx].F);
-    ASSERT_TRUE(S.parallelize(L).ok());
+    Schedule S(B.build());
+    EXPECT_TRUE(S.parallelize(LoopId).ok());
     CodegenOptions Opts;
-    Opts.Profile = true;
-    auto K = Kernel::compile(S.func(), Opts, "-O1");
-    ASSERT_TRUE(K.ok()) << K.message();
-    // The serving executor applies the same cap to every kernel it loads.
-    EXPECT_TRUE(K->setMaxThreads(2));
-    Cs[Idx].K = *K;
+    Opts.Profile = Profile;
+    auto R = Kernel::compile(S.func(), Opts, "-O1");
+    EXPECT_TRUE(R.ok()) << R.message();
+    if (R.ok())
+      K = *R;
   }
-  unsetenv("FT_NUM_THREADS");
 
-  const uint64_t Runs = 20;
-  std::vector<std::thread> Ts;
-  for (int Idx = 0; Idx < 2; ++Idx)
-    Ts.emplace_back([&, Idx] {
-      Buffer A(DataType::Float32, {N}), Y(DataType::Float32, {N});
-      for (int64_t I = 0; I < N; ++I)
-        A.setF(I, float(I) * 0.25f);
-      std::map<std::string, Buffer *> Args = {{"a", &A}, {"y", &Y}};
-      for (uint64_t R = 0; R < Runs; ++R)
-        ASSERT_TRUE(Cs[Idx].K->run(Args).ok());
-      for (int64_t I = 0; I < N; ++I)
-        ASSERT_NEAR(Y.as<float>()[I],
-                    float(I) * 0.25f * float(2.0 + Idx) + 1.0f, 1e-4);
-    });
-  for (std::thread &T : Ts)
-    T.join();
+  /// Runs the kernel \p Runs times on fresh buffers; returns y.
+  std::vector<float> run(uint64_t Runs) const {
+    Buffer A(DataType::Float32, {N}), Y(DataType::Float32, {N});
+    for (int64_t I = 0; I < N; ++I)
+      A.setF(I, float(I) * 0.25f);
+    std::map<std::string, Buffer *> Args = {{"a", &A}, {"y", &Y}};
+    for (uint64_t R = 0; R < Runs; ++R)
+      EXPECT_TRUE(K->run(Args).ok());
+    for (int64_t I = 0; I < N; ++I)
+      EXPECT_NEAR(Y.as<float>()[I], float(I) * 0.25f * float(Scale) + 1.0f,
+                  1e-4);
+    return std::vector<float>(Y.as<float>(), Y.as<float>() + N);
+  }
 
-  // Both kernels ran concurrently, each capped; the per-chunk profile
-  // slots and the rt counters must still be exact per kernel.
-  for (int Idx = 0; Idx < 2; ++Idx) {
-    profile::KernelProfile Prof = Cs[Idx].K->profileNow();
-    const profile::LoopSample *Loop = Prof.sample(Cs[Idx].LoopId);
+  /// Profile and runtime counters are exact for \p Runs invocations.
+  void expectExactCounts(uint64_t Runs) const {
+    profile::KernelProfile Prof = K->profileNow();
+    const profile::LoopSample *Loop = Prof.sample(LoopId);
     ASSERT_NE(Loop, nullptr);
+    EXPECT_EQ(Prof.sample(-1)->Calls, Runs);
     EXPECT_EQ(Loop->Calls, Runs);
     EXPECT_EQ(Loop->Iters, Runs * uint64_t(N));
-
-    KernelRtStats St = Cs[Idx].K->rtStats();
+    KernelRtStats St = K->rtStats();
     ASSERT_TRUE(St.Valid);
     EXPECT_EQ(St.Invocations, Runs);
     EXPECT_EQ(St.ParallelFors, Runs);
     EXPECT_EQ(St.ParallelIters, Runs * uint64_t(N));
   }
+};
+
+/// Threads of this process, from /proc/self/task; with \p Name, only the
+/// threads of that name.
+int countThreads(const std::string &Name = "") {
+  int N = 0;
+  if (DIR *D = ::opendir("/proc/self/task")) {
+    while (const dirent *E = ::readdir(D)) {
+      if (E->d_name[0] == '.')
+        continue;
+      std::ifstream Comm(std::string("/proc/self/task/") + E->d_name +
+                         "/comm");
+      std::string Got;
+      std::getline(Comm, Got);
+      N += Name.empty() || Got == Name;
+    }
+    ::closedir(D);
+  }
+  return N;
 }
 
-TEST_F(ConcurrencyTest, SetMaxThreadsToOneStillComputesCorrectly) {
-  setenv("FT_NUM_THREADS", "4", 1);
+} // namespace
+
+TEST_F(ConcurrencyTest, TwoProfiledKernelsSharingThePoolKeepExactCounts) {
+  std::vector<ParallelAxpy> Ks;
+  Ks.emplace_back("pool0", 4096, 2.0);
+  Ks.emplace_back("pool1", 4096, 3.0);
+  ASSERT_TRUE(Ks[0].K && Ks[1].K);
+
+  const uint64_t Runs = 20;
+  std::vector<std::thread> Ts;
+  for (const ParallelAxpy &P : Ks)
+    Ts.emplace_back([&P] { P.run(Runs); });
+  for (std::thread &T : Ts)
+    T.join();
+
+  // Both kernels ran at once on the shared pool; each one's profile lanes
+  // and runtime counters stay exact.
+  for (const ParallelAxpy &P : Ks)
+    P.expectExactCounts(Runs);
+}
+
+TEST_F(ConcurrencyTest, OneProfiledKernelRunFromFourThreadsIsExact) {
+  ParallelAxpy P("reentrant", 4096, 1.5);
+  ASSERT_TRUE(P.K);
+  const std::vector<float> Want = P.run(1);
+
+  constexpr int kCallers = 4;
+  const uint64_t Runs = 25;
+  std::vector<std::vector<float>> Got(kCallers);
+  std::vector<std::thread> Ts;
+  for (int T = 0; T < kCallers; ++T)
+    Ts.emplace_back([&, T] { Got[T] = P.run(Runs); });
+  for (std::thread &T : Ts)
+    T.join();
+
+  for (const std::vector<float> &G : Got)
+    EXPECT_EQ(0, std::memcmp(Want.data(), G.data(), Want.size() * 4));
+  P.expectExactCounts(1 + kCallers * Runs);
+}
+
+TEST_F(ConcurrencyTest, ThousandsOfShortRegionsAllFinish) {
+  // Tiny regions maximize the share of time spent in the pool's hand-off,
+  // where a completion race between a chunk and its caller would show.
+  ParallelAxpy P("short", 64, 2.0, /*Profile=*/false);
+  ASSERT_TRUE(P.K);
+  const uint64_t Runs = 5000;
+  P.run(Runs);
+  EXPECT_EQ(P.K->rtStats().ParallelFors, Runs);
+  EXPECT_EQ(P.K->rtStats().ParallelIters, Runs * 64);
+}
+
+TEST_F(ConcurrencyTest, EightKernelsShareOnePoolOfThreads) {
+  // Start the pool (if no earlier test has) with one region of its own.
+  rt::KernelState S(0);
+  {
+    rt::KernelState::Invocation Inv(S);
+    rt::parallelFor(Inv.abi(), 0, 1024, [](int64_t, int64_t, int) {});
+  }
+  const int Before = countThreads();
+
+  std::vector<ParallelAxpy> Ks;
+  for (int I = 0; I < 8; ++I)
+    Ks.emplace_back("eight" + std::to_string(I), 1024, 1.0 + I,
+                    /*Profile=*/false);
+  for (const ParallelAxpy &P : Ks) {
+    ASSERT_TRUE(P.K);
+    P.run(2);
+  }
+  // Loading and running kernels adds no threads: the pool's
+  // FT_NUM_THREADS - 1 are all there are.
+  EXPECT_EQ(countThreads(), Before);
+  EXPECT_EQ(countThreads("ft-pool"), rt::numThreads() - 1);
+}
+
+// Also run with FT_NUM_THREADS=1 (ctest concurrency_test_serial), where
+// every region runs inline on its caller.
+TEST_F(ConcurrencyTest, ComputesCorrectlyAtConfiguredPoolSize) {
+  EXPECT_EQ(rt::numThreads(),
+            rt::parseNumThreads(std::getenv("FT_NUM_THREADS"),
+                                std::thread::hardware_concurrency()));
   Func F = makeAxpy(2.0);
   Schedule S(F);
   // makeAxpy's single loop is the only one; find and parallelize it.
@@ -320,13 +412,11 @@ TEST_F(ConcurrencyTest, SetMaxThreadsToOneStillComputesCorrectly) {
   ASSERT_TRUE(S.parallelize(LoopId).ok());
 
   auto K = Kernel::compile(S.func(), CodegenOptions{}, "-O1");
-  unsetenv("FT_NUM_THREADS");
   ASSERT_TRUE(K.ok()) << K.message();
-  ASSERT_TRUE(K->setMaxThreads(1)); // degenerate cap: serial execution
-
   std::vector<float> Got = runOnce(*K, F);
   for (int64_t I = 0; I < 256; ++I)
     EXPECT_NEAR(Got[size_t(I)], std::sin(0.37 * double(I)) * 2.0 + 1.0, 1e-5);
+  EXPECT_EQ(K->rtStats().ParallelFors, 1u);
 }
 
 //===----------------------------------------------------------------------===//

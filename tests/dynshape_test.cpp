@@ -82,7 +82,7 @@ protected:
     for (const char *V :
          {"FT_SERVE_THREADS", "FT_SERVE_QUEUE_CAP", "FT_SERVE_ON_FULL",
           "FT_SERVE_BATCH_WINDOW_US", "FT_SERVE_MAX_BATCH",
-          "FT_SERVE_OPT_FLAGS", "FT_SERVE_RT_THREADS", "FT_TELEMETRY_DIR",
+          "FT_SERVE_OPT_FLAGS", "FT_TELEMETRY_DIR",
           "FT_SPECIALIZE", "FT_SPECIALIZE_AFTER", "FT_SPECIALIZE_MAX",
           "FT_SPECIALIZE_OPT_FLAGS"})
       ::unsetenv(V);

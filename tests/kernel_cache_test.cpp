@@ -8,7 +8,8 @@
 //   - a corrupted on-disk entry is evicted and recompiled, not crashed on;
 //   - alpha-renamed Funcs share a fingerprint, different programs don't;
 //   - the memory tier is LRU-bounded by FT_CACHE_MEM_ENTRIES;
-//   - FT_CACHE=0 disables everything.
+//   - FT_CACHE=0 disables everything;
+//   - JIT scratch files go under $TMPDIR.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,7 @@
 #include <cstring>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "codegen/jit.h"
@@ -220,4 +222,34 @@ TEST_F(KernelCacheTest, DisabledCacheAlwaysCompiles) {
   ASSERT_TRUE(K2.ok()) << K2.message();
   EXPECT_EQ(K2->cacheTier(), KernelCacheTier::Compiled);
   EXPECT_EQ(kernel_cache::memSize(), 0u);
+}
+
+TEST_F(KernelCacheTest, JitScratchHonoursTmpdir) {
+  ::setenv("FT_CACHE", "0", 1);
+  const char *Old = std::getenv("TMPDIR");
+  const std::string Saved = Old ? Old : "";
+  auto Restore = [&] {
+    if (Old)
+      ::setenv("TMPDIR", Saved.c_str(), 1);
+    else
+      ::unsetenv("TMPDIR");
+  };
+
+  // A TMPDIR that cannot hold the scratch directory fails the compile,
+  // and the error names where the JIT tried to write.
+  const std::string Missing = Dir + "/no/such/dir";
+  ::setenv("TMPDIR", Missing.c_str(), 1);
+  auto Bad = Kernel::compile(makeAxpy(9.0), "-O0");
+  Restore();
+  ASSERT_FALSE(Bad.ok());
+  EXPECT_NE(Bad.message().find(Missing), std::string::npos) << Bad.message();
+
+  // A writable TMPDIR works, and the scratch directory is gone afterwards.
+  const std::string Scratch = Dir + "/scratch";
+  ASSERT_EQ(::mkdir(Scratch.c_str(), 0755), 0);
+  ::setenv("TMPDIR", Scratch.c_str(), 1);
+  auto Good = Kernel::compile(makeAxpy(9.0), "-O0");
+  Restore();
+  ASSERT_TRUE(Good.ok()) << Good.message();
+  EXPECT_EQ(::rmdir(Scratch.c_str()), 0) << "JIT scratch left behind";
 }

@@ -5,8 +5,9 @@
 //  1. Exactness: per-statement Calls/Iters from an instrumented kernel are
 //     *exact*, not sampled — so they must equal the interpreter's per-stmt
 //     counts on the same (scheduled) program, statement by statement. We
-//     check this on fuzzed programs, including under FT_NUM_THREADS=4
-//     where counters merge across the pool's per-thread slots.
+//     check this on fuzzed programs, including under FT_NUM_THREADS=4 (set
+//     for this binary by ctest) where counters merge across the pool
+//     threads' profile lanes.
 //  2. Zero cost when off: profile-off emission is byte-identical to the
 //     default emission — no instrumentation residue whatsoever.
 //  3. Reports resolve: every runtime sample maps back through the source
@@ -14,7 +15,7 @@
 //     the flamegraph / JSON renderers produce well-formed output.
 //
 // Plus the memory-accounting half: heap-backed caches report peak/current
-// bytes through the versioned rt_stats ABI.
+// bytes through the kernel's runtime counters.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +25,7 @@
 #include "codegen/codegen.h"
 #include "codegen/jit.h"
 #include "codegen/profile.h"
+#include "codegen/runtime.h"
 #include "frontend/builder.h"
 #include "interp/interp.h"
 #include "ir/printer.h"
@@ -192,15 +194,14 @@ TEST(ProfileTest, ProfileOffEmissionIsByteIdentical) {
     std::string Default = generateCpp(Scheduled);
     std::string OffExplicit = generateCpp(Scheduled, CodegenOptions{});
     EXPECT_EQ(Default, OffExplicit);
-    EXPECT_EQ(Default.find("_rt_profile"), std::string::npos);
-    EXPECT_EQ(Default.find("ScopedAlloc"), std::string::npos);
+    EXPECT_EQ(Default.find("rt->lanes"), std::string::npos);
     EXPECT_EQ(Default.find("_ft_prof"), std::string::npos);
 
     CodegenOptions On;
     On.Profile = true;
     std::string Instrumented = generateCpp(Scheduled, On);
     EXPECT_NE(Instrumented, Default);
-    EXPECT_NE(Instrumented.find("_rt_profile"), std::string::npos);
+    EXPECT_NE(Instrumented.find("rt->lanes"), std::string::npos);
   }
 }
 
@@ -286,9 +287,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ProfileCountFuzz, ::testing::Range(1, 6));
 //===--------------------------------------------------------------------===//
 
 TEST(ProfileTest, CountsExactUnderFourThreads) {
-  // The pool is a per-.so static sized on first use, so the override must
-  // be in the environment before the kernel's first parallelFor.
-  setenv("FT_NUM_THREADS", "4", 1);
+  // ctest runs this binary with FT_NUM_THREADS=4: the process-wide pool is
+  // sized once, from the environment at first use.
 
   const int64_t N = 1024;
   FunctionBuilder B("ptpool");
@@ -306,7 +306,6 @@ TEST(ProfileTest, CountsExactUnderFourThreads) {
   CodegenOptions Opts;
   Opts.Profile = true;
   auto K = Kernel::compile(Scheduled, Opts, "-O1");
-  unsetenv("FT_NUM_THREADS");
   ASSERT_TRUE(K.ok()) << K.message();
 
   std::map<std::string, Buffer> Store;
@@ -342,8 +341,16 @@ TEST(ProfileTest, CountsExactUnderFourThreads) {
 
 TEST(ProfileTest, ThreadPoolEnvOverrideIsClamped) {
   // Degenerate values must not break execution: 0/garbage fall back sanely
-  // (clamped to >= 1), and the program still runs correctly.
-  setenv("FT_NUM_THREADS", "0", 1);
+  // (clamped to [1, 256]), and a program runs correctly on the pool.
+  EXPECT_EQ(rt::parseNumThreads("0", 8), 1);
+  EXPECT_EQ(rt::parseNumThreads("-5", 8), 1);
+  EXPECT_EQ(rt::parseNumThreads("100000", 8), 256);
+  EXPECT_EQ(rt::parseNumThreads("3", 8), 3);
+  EXPECT_EQ(rt::parseNumThreads("4x", 8), 8);
+  EXPECT_EQ(rt::parseNumThreads("", 8), 8);
+  EXPECT_EQ(rt::parseNumThreads(nullptr, 8), 8);
+  EXPECT_EQ(rt::parseNumThreads(nullptr, 0), 1);
+  EXPECT_GE(rt::numThreads(), 1);
 
   const int64_t N = 64;
   FunctionBuilder B("ptclamp");
@@ -356,7 +363,6 @@ TEST(ProfileTest, ThreadPoolEnvOverrideIsClamped) {
   ASSERT_TRUE(S.parallelize(L).ok());
 
   auto K = Kernel::compile(S.func(), "-O0");
-  unsetenv("FT_NUM_THREADS");
   ASSERT_TRUE(K.ok()) << K.message();
 
   std::map<std::string, Buffer> Store;
@@ -528,7 +534,7 @@ TEST(ProfileTest, ReportsRenderAndParse) {
 }
 
 //===--------------------------------------------------------------------===//
-// Memory accounting through the versioned rt_stats ABI.
+// Memory accounting through the kernel's runtime counters.
 //===--------------------------------------------------------------------===//
 
 TEST(ProfileTest, HeapCacheMemoryAccounting) {
@@ -570,7 +576,7 @@ TEST(ProfileTest, HeapCacheMemoryAccounting) {
 
   const uint64_t BufBytes = uint64_t(N) * uint64_t(M) * sizeof(float);
   KernelRtStats St = K->rtStats();
-  ASSERT_TRUE(St.Valid) << "rt_stats header rejected";
+  ASSERT_TRUE(St.Valid);
   EXPECT_EQ(St.Invocations, Runs);
   // Peak live: at least the cache tensor while the kernel ran...
   EXPECT_GE(St.PeakBytes, BufBytes);
@@ -588,7 +594,7 @@ TEST(ProfileTest, HeapCacheMemoryAccounting) {
 }
 
 //===--------------------------------------------------------------------===//
-// Profile-off kernels still export valid (versioned) rt_stats.
+// Profile-off kernels still report valid runtime counters.
 //===--------------------------------------------------------------------===//
 
 TEST(ProfileTest, UnprofiledKernelHasVersionedStats) {

@@ -1,14 +1,15 @@
 //===- tests/runtime_test.cpp - Runtime library & support utilities --------===//
 //
-// Covers the pieces every generated kernel links against (thread pool,
-// atomics, integer division, GEMM) and the small support utilities.
+// Covers the pieces every generated kernel uses (the process-wide pool
+// behind parallelFor, atomics, integer division, GEMM) and the small
+// support utilities.
 //
 //===----------------------------------------------------------------------===//
 
 #include <atomic>
 #include <gtest/gtest.h>
 
-#include "codegen/rt/ft_runtime.h"
+#include "codegen/runtime.h"
 #include "support/error.h"
 #include "support/string_utils.h"
 
@@ -16,36 +17,50 @@ using namespace ft;
 
 namespace {
 
+/// Runs Fn(i) for i in [Begin, End) through the pool, as a kernel would.
+template <typename F>
+void forEach(rt::KernelState &S, int64_t Begin, int64_t End, F Fn) {
+  rt::KernelState::Invocation Inv(S);
+  rt::parallelFor(Inv.abi(), Begin, End, [&](int64_t B, int64_t E, int) {
+    for (int64_t I = B; I < E; ++I)
+      Fn(I);
+  });
+}
+
 TEST(RuntimeTest, ParallelForCoversRangeExactlyOnce) {
+  rt::KernelState S(0);
   std::vector<std::atomic<int>> Hits(1000);
-  rt::parallelFor(0, 1000, [&](int64_t I) { Hits[I].fetch_add(1); });
+  forEach(S, 0, 1000, [&](int64_t I) { Hits[I].fetch_add(1); });
   for (int I = 0; I < 1000; ++I)
     EXPECT_EQ(Hits[I].load(), 1) << I;
   // Empty and negative ranges are no-ops.
   bool Ran = false;
-  rt::parallelFor(5, 5, [&](int64_t) { Ran = true; });
-  rt::parallelFor(5, 3, [&](int64_t) { Ran = true; });
+  forEach(S, 5, 5, [&](int64_t) { Ran = true; });
+  forEach(S, 5, 3, [&](int64_t) { Ran = true; });
   EXPECT_FALSE(Ran);
+  EXPECT_EQ(S.stat(rt::FInvocations), 3u);
+  EXPECT_EQ(S.stat(rt::FParallelFors), 1u);
+  EXPECT_EQ(S.stat(rt::FParallelIters), 1000u);
 }
 
 TEST(RuntimeTest, ParallelForNestedCalls) {
+  rt::KernelState S(0);
   std::atomic<int64_t> Sum{0};
-  rt::parallelFor(0, 10, [&](int64_t I) {
-    int64_t Local = 0;
-    for (int64_t J = 0; J < 10; ++J)
-      Local += I * 10 + J;
-    Sum.fetch_add(Local);
+  forEach(S, 0, 10, [&](int64_t I) {
+    forEach(S, 0, 10, [&](int64_t J) { Sum.fetch_add(I * 10 + J); });
   });
   EXPECT_EQ(Sum.load(), 100 * 99 / 2);
+  EXPECT_EQ(S.stat(rt::FParallelFors), 11u);
 }
 
 TEST(RuntimeTest, AtomicReductions) {
+  rt::KernelState S(0);
   float Acc = 0;
-  rt::parallelFor(0, 500, [&](int64_t) { rt::atomicAdd(&Acc, 1.0f); });
+  forEach(S, 0, 500, [&](int64_t) { rt::atomicAdd(&Acc, 1.0f); });
   EXPECT_FLOAT_EQ(Acc, 500.0f);
 
   float Mx = -1e30f, Mn = 1e30f;
-  rt::parallelFor(0, 100, [&](int64_t I) {
+  forEach(S, 0, 100, [&](int64_t I) {
     rt::atomicMax(&Mx, float(I));
     rt::atomicMin(&Mn, float(I));
   });
@@ -56,6 +71,18 @@ TEST(RuntimeTest, AtomicReductions) {
   for (int I = 0; I < 10; ++I)
     rt::atomicMul(&Prod, 2.0);
   EXPECT_DOUBLE_EQ(Prod, 1024.0);
+}
+
+TEST(RuntimeTest, MinMaxMatchStd) {
+  EXPECT_EQ(rt::min<int64_t>(3, -2), -2);
+  EXPECT_EQ(rt::max<int64_t>(3, -2), 3);
+  const float NaN = std::nanf("");
+  // std::min/max return the first argument unless the second compares
+  // strictly smaller/larger; NaN ordering must not change.
+  EXPECT_TRUE(std::isnan(rt::min(NaN, 1.0f)));
+  EXPECT_EQ(rt::min(1.0f, NaN), 1.0f);
+  EXPECT_TRUE(std::isnan(rt::max(NaN, 1.0f)));
+  EXPECT_EQ(rt::max(1.0f, NaN), 1.0f);
 }
 
 TEST(RuntimeTest, FloorDivModMatchPython) {

@@ -101,7 +101,7 @@ protected:
     for (const char *V :
          {"FT_SERVE_THREADS", "FT_SERVE_QUEUE_CAP", "FT_SERVE_ON_FULL",
           "FT_SERVE_BATCH_WINDOW_US", "FT_SERVE_MAX_BATCH",
-          "FT_SERVE_OPT_FLAGS", "FT_SERVE_RT_THREADS", "FT_TELEMETRY_DIR",
+          "FT_SERVE_OPT_FLAGS", "FT_TELEMETRY_DIR",
           "FT_TELEMETRY_INTERVAL_MS", "FT_TELEMETRY_KEEP", "FT_FLIGHT_CAP"})
       ::unsetenv(V);
     telemetry::setEnabled(false);
@@ -540,10 +540,14 @@ TEST_F(ServeTest, RejectedRequestsNeverPolluteLatencyHistograms) {
   // show up only in the flight recorder's outcome tallies.
   metrics::HistogramSnapshot QH =
       metrics::histogram("serve/queue_wait_ns").snapshot();
-  metrics::HistogramSnapshot RH =
+  // Either tier may serve an accepted request: the background compile can
+  // land while the queue drains.
+  metrics::HistogramSnapshot RI =
       metrics::histogram("serve/run_ns_interp").snapshot();
+  metrics::HistogramSnapshot RJ =
+      metrics::histogram("serve/run_ns_jit").snapshot();
   EXPECT_EQ(QH.Count, Accepted);
-  EXPECT_EQ(RH.Count, Accepted);
+  EXPECT_EQ(RI.Count + RJ.Count, Accepted);
 
   FlightSummary FS = flightRecorder().summary();
   EXPECT_EQ(FS.RejectedFull, Rejected);

@@ -46,6 +46,10 @@
 #    separate build tree, so memory and UB bugs in the analysis/schedule
 #    layers cannot hide behind passing functional tests. The trace test
 #    runs there too: the observability layer itself must be clean.
+# 12. The runtime, concurrency and serving tests rebuilt under
+#    ThreadSanitizer in a third build tree: the process-wide kernel pool,
+#    its profile lanes and the executor's worker/compile threads are all
+#    instrumented library code. (JIT-compiled kernels are not instrumented.)
 #
 # Usage: tools/check.sh [--skip-sanitize]
 # Also reachable as `cmake --build build --target check`.
@@ -494,5 +498,11 @@ ASAN_OPTIONS=detect_leaks=0 telemetry_smoke ./build-asan/tools/ftc
 
 echo "== correlation smoke under ASan =="
 ASAN_OPTIONS=detect_leaks=0 correlation_smoke ./build-asan/tools/ftc
+
+echo "== ThreadSanitizer: runtime + concurrency + serve tests =="
+cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread >/dev/null
+cmake --build build-tsan -j --target runtime_test concurrency_test serve_test
+(cd build-tsan && TSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure \
+  -R '^(runtime_test|concurrency_test|concurrency_test_serial|serve_test)$')
 
 echo "== check.sh: all green =="
